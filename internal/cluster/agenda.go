@@ -110,8 +110,9 @@ func entry(a, b *workCluster, key int64) agendaEntry {
 // runAgenda executes the merge rounds of Algorithm 1 (lines 5–23) on the
 // sorted-run agenda. It produces the same cluster list, in the same order,
 // as run(). When preGathered is set, seedQ is the unsorted round-1 agenda
-// (from SeedPairs) and the seed enumeration is skipped; the gather only
-// happens with a matrix scorer, so its keys are simKey30 keys.
+// from gatherSeed, with key ranks in place of keys, and the seed
+// enumeration is skipped; the gather only happens with a matrix scorer,
+// so the restored keys are simKey30 keys.
 func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, cfg Config, sc *Scratch) []*workCluster {
 	arena := sc.arena[:0]
 	for i, c := range clusters {
@@ -159,7 +160,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 	var queue []agendaEntry
 	spare := sc.spare
 	if preGathered {
-		queue = seedQ
+		queue, spare = sortSeedRun(seedQ, spare, nSeed, cfg.Seed.keys, sc)
 	} else {
 		queue = sc.queue[:0]
 		if owners != nil {
@@ -175,8 +176,8 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 				}
 			}
 		}
+		queue, spare = sortRun(queue, spare, 0, nSeed, matrixKeys, sc)
 	}
-	queue, spare = sortRun(queue, spare, 0, nSeed, matrixKeys)
 
 	// Work counters accumulate locally and flush once at the single
 	// return below, so the walk itself carries no atomics.
@@ -186,8 +187,11 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 	fresh := sc.fresh[:0]
 	minOrd := int32(0)
 	pending := sc.pending[:0]
+	next := sc.next[:0]
 	for round := 1; ; round++ {
-		var born []*workCluster
+		// The round's newborns go to the front of the next list, in
+		// merge order; the survivors follow them below.
+		next = next[:0]
 		pending = pending[:0]
 
 		// Walk the round's pairs best-first by merging the two sorted
@@ -218,7 +222,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 					mergeInto(u, a, b, sc)
 					u.idx = int32(len(arena))
 					arena = append(arena, u)
-					born = append(born, u)
+					next = append(next, u)
 					a.mergedIn, b.mergedIn = round, round
 				} else {
 					// Can never merge; may carry to the next round
@@ -245,9 +249,8 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		}
 
 		// Eliminate clusters that can never merge again (lines 20–22)
-		// and splice the newborns in front, exactly like the legacy
-		// next-round slice.
-		next := born
+		// behind the newborns, exactly like the legacy next-round slice.
+		born := next
 		for _, c := range clusters {
 			switch {
 			case c.mergedIn != 0:
@@ -259,12 +262,12 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 				c.gone = true
 			}
 		}
-		clusters = next
+		clusters, next = next, clusters
 		if len(born) == 0 {
 			// Hand the working buffers back for the next Match call.
 			sc.arena = arena
 			sc.queue, sc.pending, sc.fresh, sc.spare = queue, pending, fresh, spare
-			sc.list = clusters
+			sc.list, sc.next = clusters, next
 			cfg.Stats.Add(trace.CClusterRounds, int64(round))
 			cfg.Stats.Add(trace.CClusterPops, pops)
 			cfg.Stats.Add(trace.CClusterPairs, admitted)
@@ -316,7 +319,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 				}
 			}
 		}
-		fresh, spare = sortRun(fresh, spare, minOrd, nSeed-int(minOrd), matrixKeys)
+		fresh, spare = sortRun(fresh, spare, minOrd, nSeed-int(minOrd), matrixKeys, sc)
 		admitted += int64(len(fresh))
 	}
 }
@@ -332,7 +335,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 // and with heavily duplicated similarities a comparison sort spends most
 // of its time in tiebreaks, so the linear sort is where the agenda path's
 // headroom is.
-func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bool) (sorted, spare []agendaEntry) {
+func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bool, sc *Scratch) (sorted, spare []agendaEntry) {
 	if !matrixKeys || len(queue) < 128 {
 		slices.SortFunc(queue, func(x, y agendaEntry) int {
 			switch {
@@ -359,16 +362,7 @@ func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bo
 		scratch = make([]agendaEntry, len(queue))
 	}
 	src, dst := queue, scratch[:len(queue)]
-	counts := make([]int32, max(nOrds, digits))
-
-	// prefixSum turns the histogram into starting offsets.
-	prefixSum := func(cnt []int32) {
-		var sum int32
-		for i, c := range cnt {
-			cnt[i] = sum
-			sum += c
-		}
-	}
+	counts := sc.countBuckets(max(nOrds, digits))
 
 	// Each pass is a stable counting sort on one field, least significant
 	// first. The loops are hand-unrolled per field rather than closing
@@ -377,7 +371,6 @@ func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bo
 
 	// Pass 1: ordB, offset to the dense [0, nOrds) bucket range.
 	cnt := counts[:nOrds]
-	clear(cnt)
 	for i := range src {
 		cnt[src[i].ordB-ordLo]++
 	}
@@ -439,6 +432,73 @@ func sortRun(queue, scratch []agendaEntry, ordLo int32, nOrds int, matrixKeys bo
 		checkSortedRun(src)
 	}
 	return src, dst
+}
+
+// rankBuckets caps the key ranks sortSeedRun buckets in one pass: no more
+// than one of sortRun's 10-bit key digits, so the rank pass never costs
+// more than the digit passes it replaces.
+const rankBuckets = 1 << 10
+
+// sortSeedRun sorts a gathered seed run (see gatherSeed: key fields hold
+// key ranks, and within each ordA the entries are already in ordB order)
+// into walk order and restores the simKey30 keys from keys. Two stable
+// counting passes do it — ordA, then the rank — against the five of
+// sortRun's radix path, because the gather already delivers the ordB order
+// and the rank spans len(keys) buckets where the key needs three 10-bit
+// digits. Short runs, and universes with more distinct keys than
+// rankBuckets, take sortRun after the keys are restored.
+func sortSeedRun(run, scratch []agendaEntry, nOrds int, keys []int32, sc *Scratch) (sorted, spare []agendaEntry) {
+	if len(run) < 128 || len(keys) > rankBuckets {
+		for i := range run {
+			run[i].key = int64(keys[run[i].key])
+		}
+		return sortRun(run, scratch, 0, nOrds, true, sc)
+	}
+	if cap(scratch) < len(run) {
+		scratch = make([]agendaEntry, len(run))
+	}
+	tmp := scratch[:len(run)]
+	counts := sc.countBuckets(max(nOrds, len(keys)))
+
+	// Pass 1: ordA, into tmp.
+	cnt := counts[:nOrds]
+	for i := range run {
+		cnt[run[i].ordA]++
+	}
+	prefixSum(cnt)
+	for i := range run {
+		d := run[i].ordA
+		tmp[cnt[d]] = run[i]
+		cnt[d]++
+	}
+
+	// Pass 2: the rank, back into run, restoring each key on the way.
+	cnt = counts[:len(keys)]
+	clear(cnt)
+	for i := range tmp {
+		cnt[tmp[i].key]++
+	}
+	prefixSum(cnt)
+	for i := range tmp {
+		e := tmp[i]
+		d := e.key
+		e.key = int64(keys[d])
+		run[cnt[d]] = e
+		cnt[d]++
+	}
+	if ubedebug.Enabled {
+		checkSortedRun(run)
+	}
+	return run, tmp
+}
+
+// prefixSum turns a counting-sort histogram into starting offsets.
+func prefixSum(cnt []int32) {
+	var sum int32
+	for i, c := range cnt {
+		cnt[i] = sum
+		sum += c
+	}
 }
 
 // checkSortedRun asserts the sorted-run post-condition the merge walk

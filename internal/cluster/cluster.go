@@ -24,6 +24,7 @@ import (
 	"ube/internal/model"
 	"ube/internal/strsim"
 	"ube/internal/trace"
+	"ube/internal/ubedebug"
 )
 
 // Config carries the clustering parameters of the optimization problem.
@@ -150,6 +151,36 @@ type workCluster struct {
 // S ⊇ the sources implied by G (the engine arranges both; see §3: "we
 // ensure for any call to Match(S) that S contains C").
 func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result {
+	clusters, sc := clusterSources(u, S, G, &cfg)
+	quality, valid := assemble(u, clusters, C, cfg, sc)
+	if ubedebug.Enabled {
+		// The stamp verdict must agree with Definition 2 checked on the
+		// materialised schema, whichever way it went.
+		got := materialise(clusters, sc, quality).Schema.ValidOn(C)
+		ubedebug.Assert(got == valid,
+			"cluster: stamp validity %v but materialised schema ValidOn(C)=%v", valid, got)
+	}
+	if !valid {
+		// No matching satisfies both the threshold and the source
+		// constraints for this set of sources.
+		return Result{}
+	}
+	return materialise(clusters, sc, quality)
+}
+
+// MatchQuality returns Match(u, S, C, G, cfg).Quality and .Valid, bit for
+// bit, without materialising the mediated schema. It is the search
+// objective's entry point: the objective reads nothing else. With a
+// warmed Scratch and no GA constraints the call allocates nothing.
+func MatchQuality(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) (quality float64, valid bool) {
+	clusters, sc := clusterSources(u, S, G, &cfg)
+	return assemble(u, clusters, C, cfg, sc)
+}
+
+// clusterSources validates cfg, fills in its defaults and runs the merge
+// rounds of Algorithm 1, returning the final cluster list and the scratch
+// memory that holds it.
+func clusterSources(u *model.Universe, S []int, G []model.GA, cfg *Config) ([]*workCluster, *Scratch) {
 	if err := cfg.Validate(); err != nil {
 		panic(err) // configuration is programmer-controlled
 	}
@@ -162,18 +193,16 @@ func Match(u *model.Universe, S []int, C []int, G []model.GA, cfg Config) Result
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	clusters := seed(u, S, G, cfg, sc)
+	clusters := seed(u, S, G, *cfg, sc)
 	if cfg.LegacyAgenda {
-		clusters = run(clusters, cfg)
-	} else {
-		var seedQ []agendaEntry
-		preGathered := seedCompatible(cfg.Seed, S, G, cfg)
-		if preGathered {
-			seedQ = gatherSeed(u, S, cfg.Seed, sc.queue[:0])
-		}
-		clusters = runAgenda(clusters, seedQ, preGathered, cfg, sc)
+		return run(clusters, *cfg), sc
 	}
-	return assemble(clusters, C, G, cfg)
+	var seedQ []agendaEntry
+	preGathered := seedCompatible(cfg.Seed, S, G, *cfg)
+	if preGathered {
+		seedQ = gatherSeed(u, S, cfg.Seed, sc)
+	}
+	return runAgenda(clusters, seedQ, preGathered, *cfg, sc), sc
 }
 
 // seed builds the initial cluster list: one keep-cluster per GA constraint,
@@ -534,77 +563,106 @@ func quality(c *workCluster, sim strsim.Scorer) float64 {
 	return best
 }
 
-// assemble applies the β filter, checks validity on C, and packages the
-// result (Algorithm 1 line 24).
-func assemble(clusters []*workCluster, C []int, G []model.GA, cfg Config) Result {
-	var res Result
-	schema := &model.MediatedSchema{}
-	for _, c := range clusters {
-		g := model.NewGA(c.attrs...)
-		exempt := containsConstraint(g, G)
-		if !exempt && len(g) < max(cfg.Beta, 2) {
+// outGA is one cluster that passed the β filter, keyed for schema order.
+type outGA struct {
+	first   model.AttrRef // smallest attribute: the canonical GA's first
+	quality float64
+	c       int32 // index into the final cluster list
+}
+
+// assemble is the one assemble core (Algorithm 1 line 24) behind both
+// Match and MatchQuality. It applies the β filter, checks validity on C
+// and returns F1, leaving the surviving clusters in sc.out in schema
+// order for materialise. It builds no schema:
+//
+//   - validity is Definition 2 checked with epoch stamps from the
+//     Scratch instead of a map: each GA gets a fresh epoch, an attribute
+//     stamped by an earlier GA of this call is in two GAs, a source
+//     stamped by the same GA contributes two attributes to it, and a
+//     source of C must carry a stamp from this call;
+//   - the β exemption is c.keep: constraint attributes only ever sit in
+//     constraint-seeded clusters (seed keeps them out of the singletons),
+//     so a cluster contains a GA constraint exactly when it is kept;
+//   - F1 sums the GA qualities in first-attribute order, the order the
+//     materialised schema lists its GAs in, so the float sum is the
+//     same one.
+func assemble(u *model.Universe, clusters []*workCluster, C []int, cfg Config, sc *Scratch) (float64, bool) {
+	callStart := sc.beginStamps(u, len(clusters))
+	out := sc.out[:0]
+	valid := true
+	for i, c := range clusters {
+		if !c.keep && len(c.attrs) < max(cfg.Beta, 2) {
 			// Non-constraint GAs must express an actual matching
 			// (≥ 2 attributes) and satisfy the user's β floor.
 			continue
 		}
-		schema.GAs = append(schema.GAs, g)
-		res.GAQuality = append(res.GAQuality, quality(c, cfg.Scores))
-		res.FromConstraint = append(res.FromConstraint, exempt)
-	}
-	sortSchema(schema, res.GAQuality, res.FromConstraint)
-
-	if !schema.ValidOn(C) {
-		// No matching satisfies both the threshold and the source
-		// constraints for this set of sources.
-		return Result{}
-	}
-	res.Schema = schema
-	res.Valid = true
-	if len(schema.GAs) > 0 {
-		sum := 0.0
-		for _, q := range res.GAQuality {
-			sum += q
+		if len(c.attrs) == 0 {
+			valid = false // an empty GA constraint: Definition 1 fails
+			out = append(out, outGA{c: int32(i)})
+			continue
 		}
-		res.Quality = sum / float64(len(schema.GAs))
+		sc.epoch++
+		ga := sc.epoch
+		first := c.attrs[0]
+		for _, r := range c.attrs {
+			if r.Less(first) {
+				first = r
+			}
+			id := sc.attrID(u, r, callStart)
+			switch mark := sc.attrMark[id]; {
+			case mark == ga:
+				continue // repeated within the GA: canonical form drops it
+			case mark > callStart:
+				valid = false // the attribute is in two GAs
+			}
+			sc.attrMark[id] = ga
+			if sc.srcMark[r.Source] == ga {
+				valid = false // two attributes from one source
+			}
+			sc.srcMark[r.Source] = ga
+		}
+		out = append(out, outGA{first: first, c: int32(i)})
+	}
+	for _, id := range C {
+		if id < 0 || id >= len(sc.srcMark) || sc.srcMark[id] <= callStart {
+			valid = false // a constrained source no GA touches
+		}
+	}
+	sc.out = out
+	if !valid {
+		return 0, false
+	}
+	for i := range out {
+		out[i].quality = quality(clusters[out[i].c], cfg.Scores)
+	}
+	// Distinct GAs never share a first attribute (an attribute belongs to
+	// one GA), so this is a strict total order and stability is moot.
+	slices.SortFunc(out, func(a, b outGA) int { return a.first.Compare(b.first) })
+	if len(out) == 0 {
+		return 0, true
+	}
+	sum := 0.0
+	for _, o := range out {
+		sum += o.quality
+	}
+	return sum / float64(len(out)), true
+}
+
+// materialise packages the clusters assemble left in sc.out as the
+// mediated schema of a Result with the given F1.
+func materialise(clusters []*workCluster, sc *Scratch, quality float64) Result {
+	res := Result{Schema: &model.MediatedSchema{}, Quality: quality, Valid: true}
+	if len(sc.out) == 0 {
+		return res
+	}
+	res.Schema.GAs = make([]model.GA, len(sc.out))
+	res.GAQuality = make([]float64, len(sc.out))
+	res.FromConstraint = make([]bool, len(sc.out))
+	for i, o := range sc.out {
+		c := clusters[o.c]
+		res.Schema.GAs[i] = model.NewGA(c.attrs...)
+		res.GAQuality[i] = o.quality
+		res.FromConstraint[i] = c.keep
 	}
 	return res
-}
-
-// containsConstraint reports whether some user GA constraint is a subset
-// of g (g grew out of it and inherits its exemption).
-func containsConstraint(g model.GA, G []model.GA) bool {
-	for _, c := range G {
-		if g.ContainsAll(c) {
-			return true
-		}
-	}
-	return false
-}
-
-// sortSchema orders GAs deterministically (by first attribute) so that
-// equal inputs produce byte-identical results across runs.
-func sortSchema(m *model.MediatedSchema, qual []float64, fromC []bool) {
-	idx := make([]int, len(m.GAs))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		// Distinct GAs never share a first attribute (an attribute
-		// belongs to one cluster), so this is a strict total order and
-		// stability is moot.
-		ga, gb := m.GAs[a], m.GAs[b]
-		if ga[0].Less(gb[0]) {
-			return -1
-		}
-		return 1
-	})
-	gas := make([]model.GA, len(idx))
-	qs := make([]float64, len(idx))
-	fs := make([]bool, len(idx))
-	for to, from := range idx {
-		gas[to], qs[to], fs[to] = m.GAs[from], qual[from], fromC[from]
-	}
-	copy(m.GAs, gas)
-	copy(qual, qs)
-	copy(fromC, fs)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 
 	"ube/internal/model"
 	"ube/internal/strsim"
@@ -25,18 +26,22 @@ import (
 // ordinary enumeration whenever the preconditions fail (see
 // seedCompatible).
 type SeedPairs struct {
-	pairs  []seedPair // grouped by (srcA, srcB) source pair
+	pairs  []seedPair // grouped by (srcA, srcB) source pair, each group in (attrA, attrB) order
 	start  []int32    // srcA*nSrc+srcB -> offset of the group in pairs
+	keys   []int32    // rank -> simKey30 key, ascending: the distinct keys of pairs
 	nSrc   int
 	scores strsim.Table // identity-gates against a rebuilt vocabulary
 	theta  float64
 }
 
 // seedPair is one candidate pair within a source-pair group: the two
-// attribute indices and the pair's similarity as a simKey30 key. 8 bytes,
-// so a gather streams groups at memory speed.
+// attribute indices and the dense rank of the pair's simKey30 key among
+// the universe's distinct keys. Ranks order like keys and span a small
+// range, so the seed sort buckets them in one counting pass instead of
+// three radix passes over the 30-bit key. 8 bytes, so a gather streams
+// groups at memory speed.
 type seedPair struct {
-	key          int32
+	rank         int32
 	attrA, attrB int16
 }
 
@@ -69,44 +74,104 @@ func BuildSeedPairs(u *model.Universe, nameIDs [][]int, neighbors [][]int, score
 		}
 	}
 
+	// near[na] lists the ≥θ partners of name na that some slot carries,
+	// with the rank of the pair's key among all such keys: a pass over
+	// names rather than slots, after which the slot passes below never
+	// score or rank anything.
+	type partner struct {
+		name int
+		rank int32
+	}
+	near := make([][]partner, len(neighbors))
+	var keys []int32
+	for na, nbs := range neighbors {
+		if len(owners[na]) == 0 {
+			continue
+		}
+		for _, nb := range nbs {
+			if score := m.Score(na, nb); score >= theta && len(owners[nb]) > 0 {
+				key := int32(simKey30(score))
+				near[na] = append(near[na], partner{name: nb, rank: key})
+				keys = append(keys, key)
+			}
+		}
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	for _, ps := range near {
+		for i := range ps {
+			r, _ := slices.BinarySearch(keys, ps[i].rank)
+			ps[i].rank = int32(r)
+		}
+	}
+
+	// after returns the slots of ts, which is in (src, attr) order, that
+	// come after slot (s, a): each unordered slot pair with score ≥ θ is
+	// emitted once, from its smaller side. A singleton has one name, so
+	// no pair is reachable via two name links.
+	after := func(ts []slot, s, a int) []slot {
+		lo, hi := 0, len(ts)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if t := ts[mid]; int(t.src) < s || (int(t.src) == s && int(t.attr) <= a) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return ts[lo:]
+	}
+
 	// Two passes over the same enumeration: group sizes, then records.
-	// Every unordered slot pair with score ≥ θ lands in exactly one
-	// group, emitted from its (src, attr)-smaller side; a singleton has
-	// one name, so no pair is reachable via two name links.
 	nSrc := u.N()
-	sp := &SeedPairs{start: make([]int32, nSrc*nSrc+1), nSrc: nSrc, scores: m, theta: theta}
+	sp := &SeedPairs{start: make([]int32, nSrc*nSrc+1), keys: keys, nSrc: nSrc, scores: m, theta: theta}
 	counts := sp.start[1:]
-	forEachPair := func(emit func(group int32, key int32, attrA, attrB int16)) {
-		for s := 0; s < nSrc; s++ {
-			row := int32(s * nSrc)
-			for a := range u.Source(s).Attributes {
-				na := nameIDs[s][a]
-				for _, nb := range neighbors[na] {
-					score := m.Score(na, nb)
-					if score < theta {
-						continue
-					}
-					key := int32(simKey30(score))
-					for _, t := range owners[nb] {
-						if int(t.src) < s || (int(t.src) == s && int(t.attr) <= a) {
-							continue
-						}
-						emit(row+t.src, key, int16(a), int16(t.attr))
-					}
+	for s := 0; s < nSrc; s++ {
+		row := int32(s * nSrc)
+		for a := range u.Source(s).Attributes {
+			for _, p := range near[nameIDs[s][a]] {
+				for _, t := range after(owners[p.name], s, a) {
+					counts[row+t.src]++
 				}
 			}
 		}
 	}
-	forEachPair(func(group, _ int32, _, _ int16) { counts[group]++ })
 	var sum int32
 	for g := range counts {
 		counts[g], sum = sum, sum+counts[g]
 	}
 	sp.pairs = make([]seedPair, sum)
-	forEachPair(func(group, key int32, attrA, attrB int16) {
-		sp.pairs[counts[group]] = seedPair{key: key, attrA: attrA, attrB: attrB}
-		counts[group]++
-	})
+	// Slots are visited in attribute order, so each group fills in attrA
+	// order. A slot with one partner name meets its partners in (src,
+	// attr) order too; with several, insertion keeps each group's records
+	// in attrB order — the slot's records in group (s, t) are the group's
+	// tail from firstOf[t] on, while slotOf[t] names the slot.
+	slotOf := make([]int32, nSrc)
+	firstOf := make([]int32, nSrc)
+	slotID := int32(0)
+	for s := 0; s < nSrc; s++ {
+		row := int32(s * nSrc)
+		for a := range u.Source(s).Attributes {
+			slotID++
+			ps := near[nameIDs[s][a]]
+			for _, p := range ps {
+				for _, t := range after(owners[p.name], s, a) {
+					g := row + t.src
+					i := counts[g]
+					counts[g]++
+					if len(ps) > 1 {
+						if slotOf[t.src] != slotID {
+							slotOf[t.src], firstOf[t.src] = slotID, i
+						}
+						for ; i > firstOf[t.src] && sp.pairs[i-1].attrB > int16(t.attr); i-- {
+							sp.pairs[i] = sp.pairs[i-1]
+						}
+					}
+					sp.pairs[i] = seedPair{rank: p.rank, attrA: int16(a), attrB: int16(t.attr)}
+				}
+			}
+		}
+	}
 	// counts[g] now holds the END of group g, i.e. start[g+1] — exactly
 	// what the shifted view made it.
 	return sp
@@ -136,17 +201,22 @@ func seedCompatible(sp *SeedPairs, S []int, G []model.GA, cfg Config) bool {
 	return true
 }
 
-// gatherSeed appends the round-1 agenda of subset S to out (unsorted;
-// runAgenda radix-sorts it into walk order). Seed ords equal arena
-// indices (runAgenda numbers the initial clusters 0..n), so ords double
-// as idx fields.
-func gatherSeed(u *model.Universe, S []int, sp *SeedPairs, out []agendaEntry) []agendaEntry {
-	bases := make([]int32, len(S))
+// gatherSeed returns the round-1 agenda of subset S in sc.queue, with each
+// entry's key field holding its key's rank (sortSeedRun sorts the run into
+// walk order and restores the keys). Seed ords equal arena indices
+// (runAgenda numbers the initial clusters 0..n), so ords double as idx
+// fields. Groups are visited in (i, j) order and each holds its records
+// in (attrA, attrB) order, so within one ordA the run is already in ordB
+// order — which lets sortSeedRun skip the ordB pass.
+func gatherSeed(u *model.Universe, S []int, sp *SeedPairs, sc *Scratch) []agendaEntry {
+	bases := sc.bases[:0]
 	ord := int32(0)
-	for i, s := range S {
-		bases[i] = ord
+	for _, s := range S {
+		bases = append(bases, ord)
 		ord += int32(len(u.Source(s).Attributes))
 	}
+	sc.bases = bases
+	out := sc.queue[:0]
 	for i, si := range S {
 		row := si * sp.nSrc
 		bi := bases[i]
@@ -159,7 +229,7 @@ func gatherSeed(u *model.Universe, S []int, sp *SeedPairs, out []agendaEntry) []
 			bj := bases[j]
 			for _, p := range sp.pairs[lo:hi] {
 				oa, ob := bi+int32(p.attrA), bj+int32(p.attrB)
-				out = append(out, agendaEntry{key: int64(p.key), ordA: oa, ordB: ob, idxA: oa, idxB: ob})
+				out = append(out, agendaEntry{key: int64(p.rank), ordA: oa, ordB: ob, idxA: oa, idxB: ob})
 			}
 		}
 	}

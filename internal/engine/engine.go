@@ -182,8 +182,8 @@ type Engine struct {
 	// sigCounter maintains the union of all cooperative signatures so
 	// the QEF context can be rebased without rescanning the universe.
 	sigCounter *pcsa.UnionCounter
-	// scratch pools the matcher's reusable working memory; one Scratch
-	// per concurrent evaluation worker.
+	// scratch pools the matcher's reusable working memory (*matchScratch);
+	// one per concurrent evaluation worker.
 	scratch sync.Pool
 
 	legacyEval bool // WithLegacyEvaluation: seed-equivalent slow paths
@@ -311,7 +311,7 @@ func New(u *model.Universe, opts ...Option) (*Engine, error) {
 		faults:           o.faults,
 		block:            o.block,
 	}
-	e.scratch.New = func() any { return &cluster.Scratch{} }
+	e.scratch.New = func() any { return &matchScratch{} }
 	if !o.noCache {
 		e.matchCache = make(map[string]cachedMatch)
 	}
@@ -469,13 +469,21 @@ func (e *Engine) matchQuality(S *model.SourceSet, cfg cluster.Config, C []int, G
 	return quality, valid
 }
 
-// runMatch executes one clustering with pooled scratch memory.
+// matchScratch is one evaluation worker's working memory for runMatch.
+type matchScratch struct {
+	cluster cluster.Scratch
+	ids     []int // the candidate set's members
+}
+
+// runMatch executes one quality-only clustering with pooled scratch
+// memory; once the pooled buffers have grown it allocates nothing.
 func (e *Engine) runMatch(S *model.SourceSet, cfg cluster.Config, C []int, G []model.GA) (float64, bool) {
-	sc := e.scratch.Get().(*cluster.Scratch)
-	cfg.Scratch = sc
-	res := cluster.Match(e.u, S.Elements(), C, G, cfg)
-	e.scratch.Put(sc)
-	return res.Quality, res.Valid
+	ms := e.scratch.Get().(*matchScratch)
+	cfg.Scratch = &ms.cluster
+	ms.ids = S.AppendElements(ms.ids[:0])
+	quality, valid := cluster.MatchQuality(e.u, ms.ids, C, G, cfg)
+	e.scratch.Put(ms)
+	return quality, valid
 }
 
 // Solve runs one µBE iteration: it builds the objective from the problem's

@@ -5,7 +5,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ube/internal/pcsa"
@@ -24,6 +26,15 @@ func (r AttrRef) Less(o AttrRef) bool {
 		return r.Source < o.Source
 	}
 	return r.Attr < o.Attr
+}
+
+// Compare orders AttrRefs like Less, as a three-way comparison for
+// slices.SortFunc.
+func (r AttrRef) Compare(o AttrRef) int {
+	if c := cmp.Compare(r.Source, o.Source); c != 0 {
+		return c
+	}
+	return cmp.Compare(r.Attr, o.Attr)
 }
 
 // A Source is a data source as µBE sees it (§2.1): a schema (a list of
@@ -171,7 +182,7 @@ type GA []AttrRef
 func NewGA(refs ...AttrRef) GA {
 	g := make(GA, len(refs))
 	copy(g, refs)
-	sort.Slice(g, func(i, j int) bool { return g[i].Less(g[j]) })
+	slices.SortFunc(g, AttrRef.Compare)
 	out := g[:0]
 	for i, r := range g {
 		if i == 0 || g[i-1] != r {

@@ -71,15 +71,20 @@ func (s *SourceSet) Remove(id int) {
 
 // Elements returns the members in ascending order.
 func (s *SourceSet) Elements() []int {
-	out := make([]int, 0, s.count)
+	return s.AppendElements(make([]int, 0, s.count))
+}
+
+// AppendElements appends the members in ascending order to dst and
+// returns the extended slice, so a caller can reuse one buffer.
+func (s *SourceSet) AppendElements(dst []int) []int {
 	for wi, w := range s.words {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			out = append(out, wi*64+b)
+			dst = append(dst, wi*64+b)
 			w &= w - 1
 		}
 	}
-	return out
+	return dst
 }
 
 // ForEach calls fn for each member in ascending order.

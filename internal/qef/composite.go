@@ -95,14 +95,26 @@ func NewComposite(qefs []QEF, w Weights) (*Composite, error) {
 
 // Eval returns the overall quality Q(S). Zero-weight QEFs are skipped
 // entirely, so turning a dimension off also saves its evaluation cost.
+// Coverage and Redundancy share one union estimate of S, computed at most
+// once; each term equals that QEF's own Eval bit for bit.
 func (c *Composite) Eval(ctx *Context, S *model.SourceSet) float64 {
+	union := sharedUnion{ctx: ctx, S: S}
 	q := 0.0
 	for i, f := range c.qefs {
 		//ube:float-exact zero means exactly zero (dimension off); must match DeltaEval's skip
 		if c.weights[i] == 0 {
 			continue
 		}
-		q += c.weights[i] * f.Eval(ctx, S)
+		var v float64
+		switch f.(type) {
+		case Coverage:
+			v = coverage(&union)
+		case Redundancy:
+			v = redundancy(&union)
+		default:
+			v = f.Eval(ctx, S)
+		}
+		q += c.weights[i] * v
 	}
 	return q
 }

@@ -187,8 +187,8 @@ func (d *DeltaEval) EvalAdd(ctx *Context, snap *BaseSnapshot, add int, S *model.
 	return q
 }
 
-// redundancyFrom is Redundancy.Eval on precomputed cooperative stats and
-// union estimate; the two must stay in lockstep.
+// redundancyFrom is Redundancy on precomputed cooperative stats and union
+// estimate (distinct is only read when k > 1 and card > 0).
 func redundancyFrom(k int, card int64, distinct float64) float64 {
 	if k == 0 {
 		return 0
@@ -197,9 +197,10 @@ func redundancyFrom(k int, card int64, distinct float64) float64 {
 		return 1
 	}
 	if card == 0 {
-		return 1
+		return 1 // no data, no overlap
 	}
 	r := (float64(k)*distinct/float64(card) - 1) / float64(k-1)
+	// PCSA noise can push the ratio slightly outside [0,1].
 	return max(0, min(r, 1))
 }
 

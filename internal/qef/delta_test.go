@@ -128,3 +128,73 @@ func TestDeltaEvalExactOnSketchQEFs(t *testing.T) {
 		}
 	}
 }
+
+// TestCompositeSharedUnionExact checks the shared union estimate:
+// Composite.Eval, which estimates S's union at most once for Coverage and
+// Redundancy together, must equal the weighted sum of each QEF's own Eval
+// bit for bit — on random sets that include empty ones, ones with a
+// single cooperative source and ones with no cooperative source at all.
+func TestCompositeSharedUnionExact(t *testing.T) {
+	r := rand.New(rand.NewSource(1017))
+	var noCoop int
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + r.Intn(10)
+		tuples := make([][]uint64, n)
+		coop := make([]bool, n)
+		for i := range tuples {
+			from := r.Intn(5000)
+			tuples[i] = seqTuples(from, from+100+r.Intn(3000))
+			coop[i] = r.Intn(3) == 0
+		}
+		coop[0] = true // a context with no signature at all is covered elsewhere
+		u := buildUniverse(t, tuples, coop)
+		for i := range u.Sources {
+			u.Sources[i].Characteristics = map[string]float64{"mttf": r.Float64() * 100}
+		}
+		ctx, err := NewContext(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qefs := []QEF{Card{}, Coverage{}, Redundancy{}, Characteristic{Char: "mttf", Agg: Mean{}}, extraQEF{}}
+		w := Weights{"card": 0.3, "coverage": 0.25, "redundancy": 0.2, "mttf": 0.15, "extra": 0.1}
+		switch trial % 4 {
+		case 1:
+			w = Weights{"card": 0.5, "coverage": 0, "redundancy": 0.5, "mttf": 0, "extra": 0}
+		case 2:
+			w = Weights{"card": 0.5, "coverage": 0.5, "redundancy": 0, "mttf": 0, "extra": 0}
+		}
+		comp, err := NewComposite(qefs, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 30; step++ {
+			S := model.NewSourceSet(n)
+			k := 0
+			for id := 0; id < n; id++ {
+				if r.Intn(3) == 0 {
+					S.Add(id)
+					if coop[id] {
+						k++
+					}
+				}
+			}
+			if k == 0 {
+				noCoop++
+			}
+			want := 0.0
+			for _, f := range qefs {
+				//ube:float-exact mirrors Composite.Eval's exact zero-weight skip
+				if w[f.Name()] == 0 {
+					continue
+				}
+				want += w[f.Name()] * f.Eval(ctx, S)
+			}
+			if got := comp.Eval(ctx, S); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d step %d (k=%d): Composite.Eval %v, per-QEF sum %v", trial, step, k, got, want)
+			}
+		}
+	}
+	if noCoop == 0 {
+		t.Fatal("no trial drew a set without cooperative sources")
+	}
+}

@@ -137,6 +137,24 @@ func (ctx *Context) unionEstimate(S *model.SourceSet) float64 {
 	return sk.Estimate()
 }
 
+// sharedUnion computes one candidate set's union estimate at most once, so
+// the QEFs of one evaluation that need it — Coverage and Redundancy — pay
+// for a single pass of PCSA unions between them.
+type sharedUnion struct {
+	ctx      *Context
+	S        *model.SourceSet
+	distinct float64
+	done     bool
+}
+
+// estimate returns ctx.unionEstimate(S), computing it on first use.
+func (u *sharedUnion) estimate() float64 {
+	if !u.done {
+		u.distinct, u.done = u.ctx.unionEstimate(u.S), true
+	}
+	return u.distinct
+}
+
 // cooperativeStats returns, over the cooperative sources of S, the count
 // and cardinality sum.
 func (ctx *Context) cooperativeStats(S *model.SourceSet) (n int, card int64) {
@@ -176,10 +194,15 @@ func (Coverage) Name() string { return "coverage" }
 
 // Eval implements QEF.
 func (Coverage) Eval(ctx *Context, S *model.SourceSet) float64 {
-	if floats.Zero(ctx.universeDistinct) {
+	return coverage(&sharedUnion{ctx: ctx, S: S})
+}
+
+// coverage is Coverage.Eval on a shared union.
+func coverage(u *sharedUnion) float64 {
+	if floats.Zero(u.ctx.universeDistinct) {
 		return 0
 	}
-	cov := ctx.unionEstimate(S) / ctx.universeDistinct
+	cov := u.estimate() / u.ctx.universeDistinct
 	// Estimation noise can push the ratio a hair past 1.
 	return math.Min(cov, 1)
 }
@@ -200,18 +223,16 @@ func (Redundancy) Name() string { return "redundancy" }
 
 // Eval implements QEF.
 func (Redundancy) Eval(ctx *Context, S *model.SourceSet) float64 {
-	k, card := ctx.cooperativeStats(S)
-	if k == 0 {
-		return 0
+	return redundancy(&sharedUnion{ctx: ctx, S: S})
+}
+
+// redundancy is Redundancy.Eval on a shared union, which it only
+// estimates when an overlap is possible at all.
+func redundancy(u *sharedUnion) float64 {
+	k, card := u.ctx.cooperativeStats(u.S)
+	distinct := 0.0
+	if k > 1 && card != 0 {
+		distinct = u.estimate()
 	}
-	if k == 1 {
-		return 1
-	}
-	if card == 0 {
-		return 1 // no data, no overlap
-	}
-	distinct := ctx.unionEstimate(S)
-	r := (float64(k)*distinct/float64(card) - 1) / float64(k-1)
-	// PCSA noise can push the ratio slightly outside [0,1].
-	return math.Max(0, math.Min(r, 1))
+	return redundancyFrom(k, card, distinct)
 }
