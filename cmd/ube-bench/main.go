@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	ube-bench [-exp all|fig5|fig6|fig7|fig8|tab1|pcsa|perturb|solvers|incremental|trace|scale|churn] [-quick] [-evals 6000] [-seed 0]
+//	ube-bench [-exp all|fig5|fig6|fig7|fig8|tab1|pcsa|perturb|solvers|uncoop|datasim|theta|trace|scale|churn] [-quick] [-evals 6000] [-seed 0]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.jsonl]
 package main
 
@@ -32,7 +32,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to run: all, fig5, fig6, fig7, fig8, tab1, pcsa, perturb, solvers, uncoop, datasim, theta, incremental, trace, scale, churn")
+		exp        = flag.String("exp", "all", "experiment to run: all, fig5, fig6, fig7, fig8, tab1, pcsa, perturb, solvers, uncoop, datasim, theta, trace, scale, churn")
 		quick      = flag.Bool("quick", false, "scaled-down workload for smoke runs")
 		evals      = flag.Int("evals", 0, "per-solve evaluation budget (0 = default)")
 		seed       = flag.Int64("seed", 0, "experiment seed offset")
@@ -88,23 +88,22 @@ func main() {
 // run dispatches one experiment (or all of them) under options o.
 func run(exp string, o experiments.Options) error {
 	runners := map[string]func(experiments.Options) error{
-		"fig5":        runFig5,
-		"fig6":        runFig6,
-		"fig7":        runFig7,
-		"fig8":        runFig8,
-		"tab1":        runTable1,
-		"pcsa":        runPCSA,
-		"perturb":     runPerturb,
-		"solvers":     runSolvers,
-		"uncoop":      runUncoop,
-		"datasim":     runDataSim,
-		"theta":       runTheta,
-		"incremental": runIncremental,
-		"trace":       runTrace,
-		"scale":       runScale,
-		"churn":       runChurn,
+		"fig5":    runFig5,
+		"fig6":    runFig6,
+		"fig7":    runFig7,
+		"fig8":    runFig8,
+		"tab1":    runTable1,
+		"pcsa":    runPCSA,
+		"perturb": runPerturb,
+		"solvers": runSolvers,
+		"uncoop":  runUncoop,
+		"datasim": runDataSim,
+		"theta":   runTheta,
+		"trace":   runTrace,
+		"scale":   runScale,
+		"churn":   runChurn,
 	}
-	names := []string{"fig5", "fig6", "fig7", "fig8", "tab1", "pcsa", "perturb", "solvers", "uncoop", "datasim", "theta", "incremental", "trace", "scale", "churn"}
+	names := []string{"fig5", "fig6", "fig7", "fig8", "tab1", "pcsa", "perturb", "solvers", "uncoop", "datasim", "theta", "trace", "scale", "churn"}
 
 	if exp == "all" {
 		for _, name := range names {
@@ -441,55 +440,6 @@ func runTheta(o experiments.Options) error {
 	table("Matching threshold sensitivity: θ sweep around the paper's 0.65",
 		[]string{"theta", "true GAs", "attrs in true GAs", "missed", "false GAs", "Q(S)"}, out)
 	writeCSV("theta", []string{"theta", "true_gas", "attrs", "missed", "false", "quality"}, out)
-	return nil
-}
-
-// incrementalSnapshot is the BENCH_incremental.json schema: the run's
-// options plus the ablation rows, mirroring the table/CSV output.
-type incrementalSnapshot struct {
-	Experiment string                       `json:"experiment"`
-	Quick      bool                         `json:"quick"`
-	MaxEvals   int                          `json:"max_evals"`
-	Seed       int64                        `json:"seed"`
-	Rows       []experiments.IncrementalRow `json:"rows"`
-}
-
-func runIncremental(o experiments.Options) error {
-	rows, err := experiments.Incremental(o)
-	if err != nil {
-		return err
-	}
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			fmt.Sprint(r.M),
-			fmt.Sprintf("%.2fs", r.Seconds["legacy"]),
-			fmt.Sprintf("%.2fs", r.Seconds["incremental"]),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%.4f", r.Quality["legacy"]),
-			fmt.Sprintf("%.4f", r.Quality["incremental"]),
-			fmt.Sprint(r.SameSources),
-		}
-	}
-	header := []string{"m", "legacy", "incremental", "speedup", "Q legacy", "Q incremental", "same sources"}
-	table("Incremental evaluation pipeline vs seed path (unconstrained Fig 6 cells)", header, out)
-	writeCSV("incremental", header, out)
-
-	snap := incrementalSnapshot{
-		Experiment: "incremental",
-		Quick:      o.Quick,
-		MaxEvals:   o.MaxEvals,
-		Seed:       o.Seed,
-		Rows:       rows,
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_incremental.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_incremental.json")
 	return nil
 }
 

@@ -9,17 +9,18 @@ import (
 	"ube/internal/ubedebug"
 )
 
-// This file implements the heap-agenda scheduling of Algorithm 1's merge
-// rounds. The legacy path (run in cluster.go) re-enumerates, re-scores and
-// re-sorts every candidate pair on every round, which the profile shows is
-// where solve time goes: O(rounds × pairs log pairs) with the pair scoring
-// itself repeated each round. The agenda path scores each pair exactly
-// once and carries it across rounds:
+// This file implements the sorted-run agenda that schedules Algorithm 1's
+// merge rounds. Read literally (and as the reference implementation in
+// reference_test.go does), each round enumerates every cluster pair,
+// scores it, sorts the pairs with similarity ≥ θ by (similarity desc,
+// list position asc) and walks them in that order: O(rounds × pairs log
+// pairs), with the scoring repeated every round. The agenda scores each
+// pair exactly once and carries it across rounds:
 //
 //   - every pair is scored when one of its endpoints is created (at seed
 //     time, or when a merge gives birth to a cluster);
-//   - each round walks the candidate pairs in best-first order,
-//     replicating the legacy sorted walk entry for entry;
+//   - each round walks the candidate pairs in the reference walk order,
+//     entry for entry;
 //   - pairs whose endpoints both survive a round un-merged (necessarily
 //     source-overlapping pairs, which can never merge) are carried to the
 //     next round with their cached similarity — never re-scored. Because
@@ -31,9 +32,9 @@ import (
 //   - pairs that reference a merged or eliminated cluster are stale and
 //     are dropped on sight.
 //
-// The result is byte-identical to the legacy path (the differential test
-// in agenda_test.go proves it on random universes). The equivalence rests
-// on two facts worked out from run()'s semantics:
+// The result is byte-identical to the reference (the differential tests
+// in agenda_test.go check it on random universes). The equivalence rests
+// on two facts about the reference walk:
 //
 //  1. A pair that survives a round with both endpoints free is source-
 //     overlapping: a disjoint pair with both endpoints free merges the
@@ -41,13 +42,13 @@ import (
 //     never need rescoring, and every merge in round r involves at least
 //     one cluster born in round r−1 (or round 1's seeds).
 //
-//  2. The legacy tiebreak for equal similarities is the pair of slice
-//     positions, and the next round's slice is born-in-merge-order
+//  2. The reference tiebreak for equal similarities is the pair of list
+//     positions, and the next round's list is born-in-merge-order
 //     followed by survivors in previous order. Assigning each born
 //     cluster an ord below every existing cluster's (increasing within
 //     one round's born list) therefore keeps ord-order identical to
-//     slice-position order in every round, so the priority
-//     (sim desc, ordLo asc, ordHi asc) walks in the legacy order.
+//     list-position order in every round, so the priority
+//     (sim desc, ordLo asc, ordHi asc) walks in the reference order.
 //
 // Entries carry the endpoints' immutable ord ranks (for comparisons) and
 // their arena indices (to reach the cluster at processing time); they
@@ -70,7 +71,7 @@ type agendaEntry struct {
 // is descending similarity. IEEE-754 bit patterns of non-negative floats
 // are order-isomorphic to their values, so the mapping is exact: equal
 // sims share a key and distinct sims order strictly, preserving the
-// legacy walk order tie-for-tie.
+// reference walk order tie-for-tie.
 func simKey(sim float64) int64 {
 	return -int64(math.Float64bits(sim))
 }
@@ -85,7 +86,7 @@ func simKey30(sim float64) int64 {
 	return int64(0x3FFFFFFF - math.Float32bits(float32(sim)))
 }
 
-// entryBefore is the walk priority — the legacy sort order: similarity
+// entryBefore is the walk priority — the reference sort order: similarity
 // descending, then the position ranks ascending. It is a strict total
 // order over distinct pairs, so walk order is unique.
 func entryBefore(x, y agendaEntry) bool {
@@ -109,7 +110,7 @@ func entry(a, b *workCluster, key int64) agendaEntry {
 
 // runAgenda executes the merge rounds of Algorithm 1 (lines 5–23) on the
 // sorted-run agenda. It produces the same cluster list, in the same order,
-// as run(). When preGathered is set, seedQ is the unsorted round-1 agenda
+// as the reference walk. When preGathered is set, seedQ is the unsorted round-1 agenda
 // from gatherSeed, with key ranks in place of keys, and the seed
 // enumeration is skipped; the gather only happens with a matrix scorer,
 // so the restored keys are simKey30 keys.
@@ -196,9 +197,9 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 
 		// Walk the round's pairs best-first by merging the two sorted
 		// streams: the carried queue and the round's fresh pairs. The
-		// walk observes exactly the merged/free states the legacy
-		// sorted walk observes, because the merged order equals the
-		// legacy sort order and both walks mutate state identically.
+		// walk observes exactly the merged/free states the reference
+		// walk observes, because the merged order equals the reference
+		// sort order and both walks mutate state identically.
 		qi, fi := 0, 0
 		for qi < len(queue) || fi < len(fresh) {
 			pops++
@@ -249,7 +250,7 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		}
 
 		// Eliminate clusters that can never merge again (lines 20–22)
-		// behind the newborns, exactly like the legacy next-round slice.
+		// behind the newborns, exactly like the reference's next-round list.
 		born := next
 		for _, c := range clusters {
 			switch {
@@ -288,8 +289,8 @@ func runAgenda(clusters []*workCluster, seedQ []agendaEntry, preGathered bool, c
 		queue = keep
 
 		// Rank the newborns below every existing cluster, preserving
-		// their merge order, so ord-order keeps matching the legacy
-		// slice order.
+		// their merge order, so ord-order keeps matching the reference
+		// list order.
 		minOrd -= int32(len(born))
 		for i, c := range born {
 			c.ord = minOrd + int32(i)
@@ -513,9 +514,10 @@ func checkSortedRun(run []agendaEntry) {
 
 // appendPairsIndexed appends c's candidate pairs found through the ≥θ
 // name adjacency index, scoring only cluster pairs with a known
-// above-threshold name link (the same enumeration as
-// collectPairsIndexed). With skipDead set (mid-run, when the owners lists
-// may reference merged or eliminated clusters) dead partners are skipped
+// above-threshold name link. The index holds every name pair at or above
+// θ, so these are exactly the ≥θ pairs the reference finds by scoring
+// every pair. With skipDead set (mid-run, when the owners lists may
+// reference merged or eliminated clusters) dead partners are skipped
 // rather than compacted. The x.ord > c.ord filter pushes each pair from
 // its smaller-ord side exactly once — for that to cover newborn-newborn
 // pairs, all of a round's newborns must be indexed before any is scored.

@@ -48,12 +48,12 @@ func buildNameIDs(u *model.Universe, sim *strsim.Cache) [][]int {
 	return ids
 }
 
-// TestAgendaMatchesLegacy is the differential property test required by
-// the issue: over seeded random universes, with and without the matrix
-// scorer / neighbors index / GA constraints / NameIDs precompute, the
-// heap-agenda Match must produce a Result byte-identical to the legacy
-// sorted-slice path.
-func TestAgendaMatchesLegacy(t *testing.T) {
+// TestAgendaMatchesReference is the agenda's differential property test:
+// over seeded random universes, with and without the matrix scorer /
+// neighbors index / seed pairs / GA constraints / NameIDs precompute /
+// a reused Scratch, Match must produce a Result byte-identical to
+// referenceMatch.
+func TestAgendaMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(20240807))
 	// One scratch reused across many trials (when drawn): reuse must be
 	// invisible — stale buffer contents must never leak into a Result.
@@ -114,24 +114,19 @@ func TestAgendaMatchesLegacy(t *testing.T) {
 			}
 		}
 
-		legacy := base
-		legacy.LegacyAgenda = true
-		want := Match(u, S, nil, G, legacy)
-
-		agenda := base
-		agenda.LegacyAgenda = false
-		got := Match(u, S, nil, G, agenda)
-
+		want := referenceMatch(u, S, nil, G, base)
+		got := Match(u, S, nil, G, base)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d (n=%d θ=%.3f β=%d indexed=%v seedIdx=%v G=%v S=%v):\nlegacy: %+v\nagenda: %+v",
+			t.Fatalf("trial %d (n=%d θ=%.3f β=%d indexed=%v seedIdx=%v G=%v S=%v):\nreference: %+v\nagenda:    %+v",
 				trial, n, theta, beta, indexed, seedIdx, G, S, want, got)
 		}
 	}
 }
 
-// TestAgendaMatchesLegacyWithSourceConstraints exercises the C-validity
-// path (Match may return the NULL result) on both implementations.
-func TestAgendaMatchesLegacyWithSourceConstraints(t *testing.T) {
+// TestAgendaMatchesReferenceWithSourceConstraints exercises the
+// C-validity path (Match may return the NULL result) against the
+// reference.
+func TestAgendaMatchesReferenceWithSourceConstraints(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		n := 3 + r.Intn(6)
@@ -139,12 +134,10 @@ func TestAgendaMatchesLegacyWithSourceConstraints(t *testing.T) {
 		C := []int{r.Intn(n)}
 
 		base := Config{Theta: 0.5 + r.Float64()*0.45, Beta: 2, Sim: strsim.NewCache(nil)}
-		legacy := base
-		legacy.LegacyAgenda = true
-		want := Match(u, allSources(u), C, nil, legacy)
+		want := referenceMatch(u, allSources(u), C, nil, base)
 		got := Match(u, allSources(u), C, nil, base)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: legacy %+v vs agenda %+v", trial, want, got)
+			t.Fatalf("trial %d: reference %+v vs agenda %+v", trial, want, got)
 		}
 	}
 }
@@ -159,11 +152,10 @@ func BenchmarkMatchSynth(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name    string
-		legacy  bool
 		seedIdx bool
-	}{{"legacy", true, false}, {"agenda", false, false}, {"agenda-seedidx", false, true}} {
+	}{{"agenda", false}, {"agenda-seedidx", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := Config{Theta: 0.65, Beta: 2, Sim: strsim.NewCache(nil), LegacyAgenda: mode.legacy}
+			cfg := Config{Theta: 0.65, Beta: 2, Sim: strsim.NewCache(nil), Scratch: &Scratch{}}
 			for i := range u.Sources {
 				for _, a := range u.Sources[i].Attributes {
 					cfg.Sim.Intern(a)
@@ -178,9 +170,6 @@ func BenchmarkMatchSynth(b *testing.B) {
 				if cfg.Seed == nil {
 					b.Fatal("BuildSeedPairs returned nil")
 				}
-			}
-			if !mode.legacy {
-				cfg.Scratch = &Scratch{}
 			}
 			r := rand.New(rand.NewSource(7))
 			subsets := make([][]int, 64)
@@ -200,27 +189,19 @@ func BenchmarkMatchAgenda(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	schemas := randomSchemas(r, 50)
 	u := mkUniverse(schemas...)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"legacy", true}, {"agenda", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := defaultCfg()
-			cfg.LegacyAgenda = mode.legacy
-			for i := range u.Sources {
-				for _, a := range u.Sources[i].Attributes {
-					cfg.Sim.Intern(a)
-				}
-			}
-			m := mustMatrix(cfg.Sim)
-			cfg.Scores = m
-			cfg.Neighbors = m.Neighbors(cfg.Theta)
-			cfg.NameIDs = buildNameIDs(u, cfg.Sim)
-			S := allSources(u)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Match(u, S, nil, nil, cfg)
-			}
-		})
+	cfg := defaultCfg()
+	for i := range u.Sources {
+		for _, a := range u.Sources[i].Attributes {
+			cfg.Sim.Intern(a)
+		}
+	}
+	m := mustMatrix(cfg.Sim)
+	cfg.Scores = m
+	cfg.Neighbors = m.Neighbors(cfg.Theta)
+	cfg.NameIDs = buildNameIDs(u, cfg.Sim)
+	S := allSources(u)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Match(u, S, nil, nil, cfg)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -48,6 +49,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Theta: -0.1, Beta: 2, Sim: strsim.NewCache(nil)},
 		{Theta: 1.1, Beta: 2, Sim: strsim.NewCache(nil)},
+		{Theta: math.NaN(), Beta: 2, Sim: strsim.NewCache(nil)},
 		{Theta: 0.5, Beta: 0, Sim: strsim.NewCache(nil)},
 		{Theta: 0.5, Beta: 2, Sim: nil},
 	}

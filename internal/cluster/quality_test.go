@@ -110,10 +110,10 @@ func referenceAssemble(clusters []*workCluster, C []int, G []model.GA, cfg Confi
 }
 
 // TestMatchQualityDifferential checks the quality-only core against the
-// materialising Match, the reference assemble and the legacy agenda: on
-// seeded random universes, MatchQuality must return Match's Quality and
-// Valid bit for bit, Match must equal referenceAssemble on the same
-// clusters, and the legacy path must agree with all of them. The trials vary θ, β ∈ {1, 2, 3},
+// materialising Match and the references: on seeded random universes,
+// MatchQuality must return Match's Quality and Valid bit for bit, Match
+// must equal referenceAssemble on the same clusters, and Match must equal
+// referenceMatch, Algorithm 1 end to end. The trials vary θ, β ∈ {1, 2, 3},
 // source constraints C (including one on a source no GA touches), GA
 // constraints G and the SeedPairs gather, whose long runs on the synth
 // universe take the counting-sort path.
@@ -198,15 +198,9 @@ func TestMatchQualityDifferential(t *testing.T) {
 				trial, theta, cfg.Beta, C, G, S, ref, want)
 		}
 
-		legacy := cfg
-		legacy.LegacyAgenda, legacy.Seed, legacy.Scratch = true, nil, nil
-		if got := Match(u, S, C, G, legacy); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (θ=%.3f β=%d C=%v G=%v S=%v):\nlegacy: %+v\nagenda: %+v",
-				trial, theta, cfg.Beta, C, G, S, got, want)
-		}
-		lq, lok := MatchQuality(u, S, C, G, legacy)
-		if math.Float64bits(lq) != math.Float64bits(q) || lok != ok {
-			t.Fatalf("trial %d: legacy MatchQuality (%v, %v), agenda (%v, %v)", trial, lq, lok, q, ok)
+		if ref := referenceMatch(u, S, C, G, cfg); !reflect.DeepEqual(ref, want) {
+			t.Fatalf("trial %d (θ=%.3f β=%d C=%v G=%v S=%v):\nreference: %+v\nagenda:    %+v",
+				trial, theta, cfg.Beta, C, G, S, ref, want)
 		}
 
 		if len(C) > 0 {

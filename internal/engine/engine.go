@@ -186,8 +186,6 @@ type Engine struct {
 	// one per concurrent evaluation worker.
 	scratch sync.Pool
 
-	legacyEval bool // WithLegacyEvaluation: seed-equivalent slow paths
-
 	// faults arms the engine's injection points (solve.cancel-midway,
 	// snapshot.evict); nil outside chaos runs. See internal/faultinject.
 	faults *faultinject.Injector
@@ -224,7 +222,6 @@ type Option func(*options)
 type options struct {
 	measure     strsim.Measure
 	noCache     bool
-	legacyEval  bool
 	faults      *faultinject.Injector
 	block       strsim.BlockConfig
 	forceSparse bool
@@ -240,15 +237,6 @@ func WithMeasure(m strsim.Measure) Option {
 // benchmarks that quantify what the cache buys.
 func WithoutMatchCache() Option {
 	return func(o *options) { o.noCache = true }
-}
-
-// WithLegacyEvaluation pins the engine to the original evaluation
-// pipeline — the sorted-slice clustering agenda, per-call interning, no
-// precomputed seed pairs, no scratch reuse and no incremental objective —
-// so benchmarks can quantify what the incremental pipeline buys. Results
-// are identical either way; only the time differs.
-func WithLegacyEvaluation() Option {
-	return func(o *options) { o.legacyEval = true }
 }
 
 // WithBlocking overrides the blocking-index configuration used to build
@@ -307,7 +295,6 @@ func New(u *model.Universe, opts ...Option) (*Engine, error) {
 		neighborsByTheta: make(map[float64][][]int),
 		sparseByTheta:    make(map[float64]*strsim.SparseScores),
 		seedByTheta:      make(map[float64]*cluster.SeedPairs),
-		legacyEval:       o.legacyEval,
 		faults:           o.faults,
 		block:            o.block,
 	}
@@ -348,7 +335,7 @@ func (e *Engine) validate(p *Problem) error {
 	if p.MaxSources > e.u.N() {
 		return fmt.Errorf("engine: MaxSources %d exceeds universe size %d", p.MaxSources, e.u.N())
 	}
-	if p.Theta < 0 || p.Theta > 1 {
+	if !(p.Theta >= 0 && p.Theta <= 1) { // also rejects NaN
 		return fmt.Errorf("engine: theta %v outside [0,1]", p.Theta)
 	}
 	if p.Beta < 1 {
@@ -541,17 +528,14 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 
 	scores, nbrs := e.scoresFor(p.Theta, tr.Stats())
 	clusterCfg := cluster.Config{
-		Theta:        p.Theta,
-		Beta:         p.Beta,
-		Sim:          e.sim,
-		Scores:       scores,
-		Neighbors:    nbrs,
-		LegacyAgenda: e.legacyEval,
-		Stats:        tr.Stats(),
-	}
-	if !e.legacyEval {
-		clusterCfg.NameIDs = e.nameIDs
-		clusterCfg.Seed = e.seedPairs(p.Theta, scores, nbrs)
+		Theta:     p.Theta,
+		Beta:      p.Beta,
+		Sim:       e.sim,
+		Scores:    scores,
+		Neighbors: nbrs,
+		NameIDs:   e.nameIDs,
+		Seed:      e.seedPairs(p.Theta, scores, nbrs),
+		Stats:     tr.Stats(),
 	}
 	C := p.Constraints.Sources
 	G := p.Constraints.GAs
@@ -587,12 +571,10 @@ func (e *Engine) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 		Progress:  p.Progress,
 		Tracer:    p.Trace,
 	}
-	if !e.legacyEval {
-		dobj, bound := e.deltaObjective(comp, wMatch, wRest, clusterCfg, C, G)
-		prob.DeltaObjective = dobj
-		if p.BoundPruning {
-			prob.Bound = bound
-		}
+	dobj, bound := e.deltaObjective(comp, wMatch, wRest, clusterCfg, C, G)
+	prob.DeltaObjective = dobj
+	if p.BoundPruning {
+		prob.Bound = bound
 	}
 	if armedCtx, cancel := e.armSolveFaults(ctx, prob); cancel != nil {
 		defer cancel()
@@ -644,16 +626,11 @@ const weightEpsilon = 1e-12
 // otherwise a θ-sparse table built lazily from the blocking index. A
 // measure with no sound blocking scheme (or a θ outside the blockable
 // range) falls back to the lazy pairwise cache with no adjacency index
-// — the pre-blocking behavior. The legacy-evaluation pipeline always
-// takes the fallback on large vocabularies: it predates the sparse
-// path and is pinned to the original code paths.
+// — the pre-blocking behavior.
 func (e *Engine) scoresFor(theta float64, st *trace.Stats) (strsim.Scorer, [][]int) {
 	e.refreshMatrix()
 	if e.matrix != nil {
 		return e.matrix, e.neighbors(theta)
-	}
-	if e.legacyEval {
-		return e.scores, nil
 	}
 	sp := e.sparse(theta, st)
 	if sp == nil {

@@ -137,6 +137,7 @@ func TestSolveValidation(t *testing.T) {
 		mut(func(p *Problem) { p.MaxSources = 0 }),
 		mut(func(p *Problem) { p.MaxSources = 21 }),
 		mut(func(p *Problem) { p.Theta = 1.5 }),
+		mut(func(p *Problem) { p.Theta = math.NaN() }),
 		mut(func(p *Problem) { p.Beta = 0 }),
 		mut(func(p *Problem) { p.Constraints.Sources = []int{99} }),
 		mut(func(p *Problem) {
@@ -152,6 +153,12 @@ func TestSolveValidation(t *testing.T) {
 		if _, err := e.Solve(p); err == nil {
 			t.Errorf("bad problem %d accepted", i)
 		}
+	}
+	// A NaN θ never equals itself as a map key, so a solve that got past
+	// validation would leave a fresh unreachable entry in each per-θ
+	// cache every time.
+	if n, s := len(e.neighborsByTheta), len(e.seedByTheta); n != 0 || s != 0 {
+		t.Errorf("rejected problems left %d neighbour and %d seed-pair cache entries", n, s)
 	}
 }
 

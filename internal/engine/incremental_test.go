@@ -38,19 +38,16 @@ func solveObjectives(t *testing.T, e *Engine, p *Problem) (search.Objective, sea
 
 // clusterConfig mirrors Solve's cluster.Config construction.
 func clusterConfig(e *Engine, p *Problem) cluster.Config {
-	cfg := cluster.Config{
-		Theta:        p.Theta,
-		Beta:         p.Beta,
-		Sim:          e.sim,
-		Scores:       e.scores,
-		Neighbors:    e.neighbors(p.Theta),
-		LegacyAgenda: e.legacyEval,
+	nbrs := e.neighbors(p.Theta)
+	return cluster.Config{
+		Theta:     p.Theta,
+		Beta:      p.Beta,
+		Sim:       e.sim,
+		Scores:    e.scores,
+		Neighbors: nbrs,
+		NameIDs:   e.nameIDs,
+		Seed:      e.seedPairs(p.Theta, e.scores, nbrs),
 	}
-	if !e.legacyEval {
-		cfg.NameIDs = e.nameIDs
-		cfg.Seed = e.seedPairs(p.Theta, cfg.Scores, cfg.Neighbors)
-	}
-	return cfg
 }
 
 // TestDeltaObjectiveMatchesFull walks random add/drop/swap sequences and
@@ -114,17 +111,14 @@ func TestDeltaObjectiveMatchesFull(t *testing.T) {
 	}
 }
 
-// TestSolveIncrementalMatchesLegacy solves the same problems on an
-// incremental-pipeline engine and a WithLegacyEvaluation engine built
-// over the same universe: the chosen sources must be identical and the
-// quality equal to float reassociation error.
-func TestSolveIncrementalMatchesLegacy(t *testing.T) {
+// TestSolveMatchesPlainObjective solves the same problems through the
+// engine and through a plain objective built here — cluster.Match with a
+// bare Config (no NameIDs, Seed or Scratch), no match memo and no delta
+// objective — driven by the same optimizer: the chosen sources must be
+// identical and the quality equal to float reassociation error.
+func TestSolveMatchesPlainObjective(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e, _ := testEngine(t, 40)
-		legacy, err := New(e.u, WithLegacyEvaluation())
-		if err != nil {
-			t.Fatal(err)
-		}
 		p := smallProblem()
 		p.MaxSources = 10
 		p.MaxEvals = 1500
@@ -134,18 +128,40 @@ func TestSolveIncrementalMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := legacy.Solve(&p)
+		if got.MatchCache.Hits+got.MatchCache.Misses == 0 {
+			t.Fatal("no match cache traffic recorded")
+		}
+
+		qefs, err := e.buildQEFs(&p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Sources, want.Sources) {
-			t.Fatalf("workers=%d: incremental chose %v, legacy chose %v", workers, got.Sources, want.Sources)
+		comp, err := qef.NewComposite(qefs, restWeights(p.Weights))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wMatch := p.Weights[MatchQEFName]
+		cfg := cluster.Config{Theta: p.Theta, Beta: p.Beta, Sim: e.sim, Scores: e.scores, Neighbors: e.neighbors(p.Theta)}
+		C, G := p.Constraints.Sources, p.Constraints.GAs
+		want := search.NewTabu().Optimize(&search.Problem{
+			N:        e.u.N(),
+			M:        p.MaxSources,
+			Required: p.Constraints.ImpliedSources(),
+			Excluded: p.Constraints.Exclude,
+			Initial:  p.InitialSources,
+			Objective: func(S *model.SourceSet) (float64, bool) {
+				res := cluster.Match(e.u, S.Elements(), C, G, cfg)
+				return wMatch*res.Quality + (1-wMatch)*comp.Eval(e.ctx, S), res.Valid
+			},
+			MaxEvals: p.MaxEvals,
+			Workers:  p.Workers,
+		}, p.Seed)
+
+		if !reflect.DeepEqual(got.Sources, want.S.Elements()) {
+			t.Fatalf("workers=%d: engine chose %v, plain objective chose %v", workers, got.Sources, want.S.Elements())
 		}
 		if math.Abs(got.Quality-want.Quality) > 1e-9 {
 			t.Fatalf("workers=%d: quality %v vs %v", workers, got.Quality, want.Quality)
-		}
-		if got.MatchCache.Hits+got.MatchCache.Misses == 0 {
-			t.Fatal("no match cache traffic recorded")
 		}
 	}
 }
